@@ -8,6 +8,7 @@ use std::sync::Arc;
 use gfs_cluster::{Cluster, Node, Scheduler};
 use gfs_market::MarketSpec;
 use gfs_sched::{Chronus, Fgd, Lyra, YarnCs};
+use gfs_sim::pool::{run_indexed, Threads};
 use gfs_sim::{RunSummary, SimConfig, SimReport};
 use gfs_trace::{WorkloadConfig, WorkloadGenerator};
 use gfs_types::{
@@ -17,7 +18,6 @@ use gfs_types::{
 
 use gfs_sched::PlacementPolicy;
 
-use crate::pool::{run_indexed, Threads};
 use crate::report::{CellSummary, GridReport};
 
 /// One homogeneous pool inside a [`ClusterShape`]: `nodes` machines of
@@ -448,7 +448,10 @@ impl UniformTrace {
     /// start at `max(100, hp_tasks + 1)` so the ranges never collide.
     #[must_use]
     pub fn build(&self, seed: u64) -> Vec<TaskSpec> {
-        // splitmix64 on (seed, i): deterministic per-task submit jitter
+        // Deterministic per-task submit jitter. Not SplitMix64 (no state
+        // increment, one multiply round fewer); it stays a separate mixer
+        // because the `tests/policy_grid.rs` golden pin depends on its
+        // exact output.
         let mix = |i: u64| {
             let mut z = seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -640,13 +643,6 @@ impl DynamicsAxis {
     }
 }
 
-/// Fault-only predecessor of [`DynamicsAxis`], kept so downstream call
-/// sites keep compiling.
-#[deprecated(
-    note = "renamed to DynamicsAxis; the axis now also builds drains and autoscale schedules"
-)]
-pub type FaultAxis = DynamicsAxis;
-
 /// A named [`PlacementPolicy`] — one point on the grid's placement-policy
 /// axis. Grids without the axis run every cell with the naive policy
 /// (labelled `"naive"`), which policy-capable schedulers treat as
@@ -810,21 +806,8 @@ impl Scenario {
     /// given the scenario.
     #[must_use]
     pub fn execute(&self, sim: &SimConfig) -> SimReport {
-        let ctx = RunContext {
-            shape: &self.shape,
-            workload: self.workload.name(),
-            dynamics: self.dynamics.name(),
-            market: self.market.name(),
-            policy: &self.policy.policy,
-            params: &self.params.params,
-            seed: self.seed,
-        };
-        let tasks = self.workload.build(&self.shape, self.seed);
-        let sim = SimConfig {
-            dynamics: self.dynamics.build(&self.shape, self.seed),
-            ..sim.clone()
-        };
-        let mut scheduler = self.scheduler.build(&ctx);
+        let (tasks, sim) = self.trace_and_sim(sim);
+        let mut scheduler = self.build_scheduler();
         match &self.market.spec {
             Some(spec) => gfs_market::run(
                 self.shape.build(),
@@ -836,6 +819,32 @@ impl Scenario {
             ),
             None => gfs_sim::run(self.shape.build(), scheduler.as_mut(), tasks, &sim),
         }
+    }
+
+    /// The run's task trace, plus `sim` carrying the run's cluster
+    /// timeline as its dynamics.
+    #[must_use]
+    pub fn trace_and_sim(&self, sim: &SimConfig) -> (Vec<TaskSpec>, SimConfig) {
+        let tasks = self.workload.build(&self.shape, self.seed);
+        let sim = SimConfig {
+            dynamics: self.dynamics.build(&self.shape, self.seed),
+            ..sim.clone()
+        };
+        (tasks, sim)
+    }
+
+    /// The run's scheduler, built from the run's [`RunContext`].
+    #[must_use]
+    pub fn build_scheduler(&self) -> Box<dyn Scheduler> {
+        self.scheduler.build(&RunContext {
+            shape: &self.shape,
+            workload: self.workload.name(),
+            dynamics: self.dynamics.name(),
+            market: self.market.name(),
+            policy: &self.policy.policy,
+            params: &self.params.params,
+            seed: self.seed,
+        })
     }
 }
 
@@ -972,20 +981,6 @@ impl Grid {
     pub fn policy(mut self, axis: PolicyAxis) -> Self {
         self.policies.push(axis);
         self
-    }
-
-    /// Adds cluster-timeline sources (pre-redesign name of
-    /// [`Grid::dynamics`]).
-    #[must_use]
-    pub fn faults(self, axes: impl IntoIterator<Item = DynamicsAxis>) -> Self {
-        self.dynamics(axes)
-    }
-
-    /// Adds one cluster-timeline source (pre-redesign name of
-    /// [`Grid::dynamic`]).
-    #[must_use]
-    pub fn fault(self, axis: DynamicsAxis) -> Self {
-        self.dynamic(axis)
     }
 
     /// Adds parameter overrides.

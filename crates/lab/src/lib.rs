@@ -17,9 +17,10 @@
 //!   into the §4.3 cost metrics), [`PolicyAxis`] placement policies (naive /
 //!   domain-spread / reliability-scored / churn-aware), [`ParamsAxis`]
 //!   overrides and replication seeds.
-//! * [`pool`] — a std-only chunked work pool executing runs in parallel
-//!   while collecting results *by run index*, so the aggregated output is
-//!   byte-identical to a serial run for any thread count.
+//! * [`pool`] — the workspace's deterministic work pool (re-exported from
+//!   `gfs_sim`), executing runs in parallel while collecting results *by
+//!   run index*, so the aggregated output is byte-identical to a serial
+//!   run for any thread count.
 //! * [`agg`] — across-seed reduction of per-run
 //!   [`RunSummary`](gfs_sim::RunSummary)s into median / IQR / min / max
 //!   [`MetricStats`].
@@ -70,17 +71,14 @@
 
 pub mod agg;
 mod grid;
-pub mod pool;
 pub mod recovery;
 mod report;
 
 pub use agg::{MetricStats, MetricSummary};
-#[allow(deprecated)]
-pub use grid::FaultAxis;
+pub use gfs_sim::pool::{self, Threads};
 pub use grid::{
     ClusterShape, DynamicsAxis, Grid, GridResult, MarketAxis, NodeGroup, ParamsAxis, PolicyAxis,
     RunContext, Scenario, SchedulerSpec, UniformTrace, WorkloadAxis,
 };
-pub use pool::Threads;
 pub use recovery::{crash_and_recover, CrashPlan, CrashPoint, RecoveryOutcome};
 pub use report::{CellSummary, GridReport};

@@ -43,7 +43,7 @@ pub struct SimConfig {
     pub max_time_secs: Option<u64>,
     /// Cluster timeline injected alongside the task trace: failures,
     /// recoveries, maintenance drains and scale-out steps (see
-    /// [`crate::dynamics`] for the event flow; formerly `faults`). The
+    /// [`crate::dynamics`] for the event flow). The
     /// default empty plan is a strict no-op.
     pub dynamics: DynamicsPlan,
 }

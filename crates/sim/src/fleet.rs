@@ -110,13 +110,13 @@
 //! assert_eq!(fleet.shard_hashes.len(), 2);
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use gfs_cluster::{Cluster, Scheduler};
 use gfs_types::{DynamicsPlan, FailureDomain, GpuModel, NodeId, TaskSpec};
 
 use crate::engine::SimConfig;
+use crate::pool::{run_indexed, Threads};
 use crate::report::SimReport;
 use crate::service::{fnv1a, report_hash};
 
@@ -193,8 +193,9 @@ struct ShardOutcome {
 /// per shard (called with the shard index; each scheduler is built,
 /// used and dropped on its worker thread, so non-`Send` schedulers —
 /// e.g. GFS with a boxed forecaster — work fine; only the factory
-/// crosses threads). `threads == 0` means one worker per available
-/// core; any thread count produces bit-identical output.
+/// crosses threads). Shards run on the [`crate::pool`] worker pool;
+/// `threads == 0` means [`Threads::Auto`] (one worker per available
+/// core). Any thread count produces bit-identical output.
 #[must_use]
 pub fn run_fleet(
     shards: Vec<FleetShard>,
@@ -202,62 +203,27 @@ pub fn run_fleet(
     cfg: &SimConfig,
     threads: usize,
 ) -> FleetReport {
-    let n = shards.len();
     let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        Threads::Auto
     } else {
-        threads
-    }
-    .min(n.max(1));
-
-    let run_shard = |i: usize, shard: FleetShard| -> ShardOutcome {
+        Threads::Fixed(threads)
+    };
+    // each shard sits in its own slot and is taken by exactly one job
+    let work: Vec<Mutex<Option<FleetShard>>> =
+        shards.into_iter().map(|s| Mutex::new(Some(s))).collect();
+    let outcomes = run_indexed(work.len(), threads, |i| {
+        let shard = work[i]
+            .lock()
+            .expect("shard slot poisoned")
+            .take()
+            .expect("each shard taken once");
         let weight = shard.cluster.static_capacity(None);
         let mut scheduler = scheduler_factory(i);
         let mut shard_cfg = cfg.clone();
         shard_cfg.dynamics = shard.dynamics;
         let report = crate::run(shard.cluster, &mut *scheduler, shard.tasks, &shard_cfg);
         ShardOutcome { report, weight }
-    };
-
-    let outcomes: Vec<ShardOutcome> = if threads <= 1 {
-        shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| run_shard(i, s))
-            .collect()
-    } else {
-        // self-scheduling worker pool over the shard list; results land
-        // in per-shard slots so completion order cannot leak into output
-        let slots: Vec<Mutex<Option<ShardOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let work: Vec<Mutex<Option<FleetShard>>> =
-            shards.into_iter().map(|s| Mutex::new(Some(s))).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let shard = work[i]
-                        .lock()
-                        .expect("shard slot poisoned")
-                        .take()
-                        .expect("each shard taken once");
-                    let outcome = run_shard(i, shard);
-                    *slots[i].lock().expect("result slot poisoned") = Some(outcome);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("every shard ran")
-            })
-            .collect()
-    };
+    });
 
     let shard_hashes: Vec<u64> = outcomes.iter().map(|o| report_hash(&o.report)).collect();
     let report = merge_reports(outcomes);
@@ -423,26 +389,27 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_fleets_are_bit_identical() {
-        let serial = run_fleet(
-            shard_fixture(4),
-            &|_| Box::new(FirstFit),
-            &SimConfig::default(),
-            1,
-        );
-        let parallel = run_fleet(
-            shard_fixture(4),
-            &|_| Box::new(FirstFit),
-            &SimConfig::default(),
-            8,
-        );
-        assert_eq!(serial.report, parallel.report);
-        assert_eq!(serial.shard_hashes, parallel.shard_hashes);
-        assert_eq!(serial.fleet_hash, parallel.fleet_hash);
+        let fleet = |threads| {
+            run_fleet(
+                shard_fixture(4),
+                &|_| Box::new(FirstFit),
+                &SimConfig::default(),
+                threads,
+            )
+        };
+        let serial = fleet(1);
         let mut a = String::new();
         serial.report.serialize_json(&mut a);
-        let mut b = String::new();
-        parallel.report.serialize_json(&mut b);
-        assert_eq!(a, b, "merged reports must be byte-identical");
+        // 0 resolves to one worker per available core
+        for threads in [0, 2, 8] {
+            let parallel = fleet(threads);
+            assert_eq!(serial.report, parallel.report, "threads={threads}");
+            assert_eq!(serial.shard_hashes, parallel.shard_hashes);
+            assert_eq!(serial.fleet_hash, parallel.fleet_hash);
+            let mut b = String::new();
+            parallel.report.serialize_json(&mut b);
+            assert_eq!(a, b, "merged reports must be byte-identical");
+        }
     }
 
     #[test]

@@ -31,8 +31,7 @@
 //! Displaced and migrated tasks requeue through the normal path, and
 //! reports grow availability/displacement/migration/scaled-capacity
 //! metrics. The [`dynamics`] module documents the full event flow — who
-//! emits, who consumes, the determinism rules, and the
-//! `FaultPlan → DynamicsPlan` migration. An empty plan is a strict
+//! emits, who consumes and the determinism rules. An empty plan is a strict
 //! no-op: the event sequence is bit-for-bit what it was before dynamics
 //! injection existed.
 //!
@@ -45,6 +44,13 @@
 //! and recovers from a crash via snapshot + journal replay —
 //! bit-identically to the uninterrupted run. [`run`] is a thin batch
 //! driver over it.
+//!
+//! # Parallelism
+//!
+//! [`pool`] is the workspace's one deterministic worker pool: jobs run
+//! across threads and results come back in job-index order, so output is
+//! byte-identical at any thread count. [`fleet::run_fleet`] runs its
+//! shards on it, and the `gfs_lab` experiment grids run their cells on it.
 //!
 //! # Examples
 //!
@@ -59,6 +65,7 @@
 pub mod dynamics;
 mod engine;
 pub mod fleet;
+pub mod pool;
 mod report;
 pub mod service;
 

@@ -1,4 +1,5 @@
-//! A small std-only work pool for embarrassingly parallel experiment runs.
+//! The workspace's one deterministic worker pool, shared by experiment
+//! grids (one job per run) and fleet simulation (one job per shard).
 //!
 //! Jobs are identified by index; workers pull chunks of indices from a
 //! shared [`VecDeque`] (chunked self-scheduling — the cheap cousin of work
@@ -12,7 +13,7 @@ use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::Mutex;
 
-/// How many worker threads an experiment run may use.
+/// How many worker threads a parallel run may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Threads {
     /// One worker per available core ([`std::thread::available_parallelism`]).

@@ -21,13 +21,6 @@ pub fn pareto<R: Rng>(xm: f64, alpha: f64, rng: &mut R) -> f64 {
     xm / u.powf(1.0 / alpha)
 }
 
-/// Exponential sample with the given rate (events per unit time).
-#[allow(dead_code)] // kept for Poisson arrival-process extensions
-pub fn exponential<R: Rng>(rate: f64, rng: &mut R) -> f64 {
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    -u.ln() / rate
-}
-
 /// Samples an index from a discrete weight table.
 ///
 /// # Panics
@@ -81,14 +74,6 @@ mod tests {
         for _ in 0..1_000 {
             assert!(pareto(2.0, 1.5, &mut r) >= 2.0);
         }
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut r = rng();
-        let xs: Vec<f64> = (0..20_000).map(|_| exponential(0.5, &mut r)).collect();
-        let m = xs.iter().sum::<f64>() / xs.len() as f64;
-        assert!((m - 2.0).abs() < 0.1, "mean {m}");
     }
 
     #[test]

@@ -10,10 +10,6 @@
 //! them* is documented on [`gfs_sim::dynamics`] (the engine-side module
 //! page of the cluster-timeline event flow).
 //!
-//! [`DynamicsPlan`] supersedes the fault-only `FaultPlan` of the first
-//! dynamics iteration; [`FaultPlan`] survives as a deprecated alias so
-//! downstream code keeps compiling. See the *Migration* section below.
-//!
 //! # Determinism rules
 //!
 //! A [`DynamicsPlan`] must be a pure function of its inputs so that a
@@ -24,7 +20,7 @@
 //!   sorts events by time, preserving the caller's relative order within a
 //!   timestamp;
 //! * independent failures ([`DynamicsPlan::seeded_mtbf`]) derive every
-//!   draw from a per-`(seed, node)` SplitMix64 stream, so the schedule for
+//!   draw from a per-`(seed, node)` [`SplitMix64`] stream, so the schedule for
 //!   node `k` does not depend on how many events other nodes produced;
 //! * correlated failures ([`DynamicsPlan::correlated`]) derive every draw
 //!   from a per-`(seed, domain)` stream — one stream per blast radius, so
@@ -35,20 +31,10 @@
 //!   parameters — no randomness at all.
 //!
 //! No wall-clock, thread id or global RNG state ever feeds a plan.
-//!
-//! # Migration: `FaultPlan` → `DynamicsPlan`
-//!
-//! | old | new |
-//! |---|---|
-//! | `FaultPlan::none()` | [`DynamicsPlan::none`] (unchanged) |
-//! | `FaultPlan::new(events)` (silent) | [`DynamicsPlan::new`] (validated, returns `Result`) or [`DynamicsPlan::new_unchecked`] |
-//! | `FaultPlan::seeded_mtbf(…)` | [`DynamicsPlan::seeded_mtbf`] (byte-identical schedules) |
-//! | — | [`DynamicsPlan::correlated`], [`DynamicsPlan::rolling_drain`], [`DynamicsPlan::scale_out`], [`DynamicsPlan::merge`] |
-//!
-//! `SimConfig::faults` became `SimConfig::dynamics` on the consuming side.
 
 use serde::{Deserialize, Serialize};
 
+use crate::rng::SplitMix64;
 use crate::{Error, GpuModel, NodeId, Result, SimDuration, SimTime};
 
 /// Hardware description of a node minted by a scale-out event: the pool
@@ -373,8 +359,7 @@ impl DynamicsPlan {
     /// down-time drawn from `Exp(1/mttr_secs)` until `horizon_secs`, the
     /// classic renewal model of machine churn. Each node draws from its
     /// own `(seed, node)` SplitMix64 stream (see the module docs for the
-    /// determinism rules), so the schedule is byte-identical to the
-    /// `FaultPlan::seeded_mtbf` of earlier releases.
+    /// determinism rules).
     ///
     /// A non-positive `mtbf_secs` yields the empty plan; a non-positive
     /// `mttr_secs` means nodes never come back within the horizon.
@@ -514,45 +499,6 @@ impl DynamicsPlan {
             }
         }
         DynamicsPlan::new_unchecked(events)
-    }
-}
-
-/// Fault-only predecessor of [`DynamicsPlan`], kept so downstream call
-/// sites keep compiling. All constructors live on [`DynamicsPlan`]; note
-/// that `new` now validates and returns a `Result`.
-#[deprecated(
-    note = "renamed to DynamicsPlan; the cluster timeline now also carries drains and scale-out"
-)]
-pub type FaultPlan = DynamicsPlan;
-
-/// SplitMix64: a tiny, well-mixed, dependency-free generator — exactly
-/// what a seeded dynamics schedule needs (statistical perfection is not
-/// the point; platform-independent reproducibility is).
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `(0, 1]` (never 0, so `ln` is always finite).
-    fn unit(&mut self) -> f64 {
-        ((self.next_u64() >> 11) as f64 + 1.0) / (1u64 << 53) as f64
-    }
-
-    /// Exponential draw with the given mean.
-    fn exp(&mut self, mean: f64) -> f64 {
-        -mean * self.unit().ln()
     }
 }
 
@@ -832,12 +778,5 @@ mod tests {
         let json = serde_json::to_string(&p).unwrap();
         let back: DynamicsPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back, p);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn fault_plan_alias_still_resolves() {
-        let p: FaultPlan = FaultPlan::seeded_mtbf(2, HOUR as f64, 600.0, 6 * HOUR, 5);
-        assert!(!p.is_empty());
     }
 }

@@ -11,6 +11,8 @@
 //! * the cluster timeline ([`ClusterEvent`], [`DynamicsPlan`]: seeded
 //!   failures, correlated [`FailureDomain`] outages, maintenance drains
 //!   and scale-out schedules),
+//! * the workspace's one seeded generator ([`rng::SplitMix64`]), which
+//!   every seeded schedule draws from,
 //! * the framework configuration ([`GfsParams`], Table 4 of the paper),
 //! * and the shared error type ([`Error`]).
 //!
@@ -40,11 +42,10 @@ mod config;
 mod error;
 mod gpu;
 mod id;
+pub mod rng;
 mod task;
 mod time;
 
-#[allow(deprecated)]
-pub use cluster_event::FaultPlan;
 pub use cluster_event::{
     ClusterEvent, ClusterEventKind, DynamicsPlan, FailureDomain, NodeTemplate,
 };

@@ -6,11 +6,9 @@
 //! or closed-form (never wall-clock or thread dependent), and report the
 //! drained/migrated/scaled-capacity metrics next to the fault ones.
 
-mod common;
-
-use common::fnv1a;
 use gfs::lab::{ClusterShape, DynamicsAxis, Grid, SchedulerSpec, Threads, WorkloadAxis};
 use gfs::prelude::*;
+use gfs::sim::service::fnv1a;
 
 /// 2 schedulers × 1 shape × 4 dynamics axes × 4 seeds = 8 cells / 32
 /// runs: none / correlated racks / rolling drain / drain+autoscale merge.
@@ -115,10 +113,10 @@ fn golden_dynamics_grid_pinned() {
     let result = dynamics_grid().run(Threads::Auto);
     let json = result.report.to_json();
     if std::env::var("GFS_PRINT_GOLDEN").is_ok() {
-        println!("GOLDEN_DYNAMICS = {}", fnv1a(&json));
+        println!("GOLDEN_DYNAMICS = {}", fnv1a(json.as_bytes()));
     }
     assert_eq!(
-        fnv1a(&json),
+        fnv1a(json.as_bytes()),
         GOLDEN_DYNAMICS,
         "dynamic grid output drifted — drain/migration/scale-out handling, \
          timeline generation or aggregation changed (update the pin only if \

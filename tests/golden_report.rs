@@ -3,8 +3,6 @@
 //! outcome. These hashes were captured on the pre-refactor engine; any
 //! change to them means scheduling behaviour drifted.
 
-mod common;
-
 use gfs::prelude::*;
 use gfs_types::CheckpointPlan;
 use rand::{Rng, SeedableRng};
@@ -13,7 +11,7 @@ use rand_chacha::ChaCha8Rng;
 /// FNV-1a over the canonical JSON encoding of the report.
 fn report_hash(report: &SimReport) -> u64 {
     let json = serde_json::to_string(report).expect("report serializes");
-    common::fnv1a(&json)
+    gfs::sim::service::fnv1a(json.as_bytes())
 }
 
 /// A 1 000-task random trace exercising gangs, fractions, evictions and

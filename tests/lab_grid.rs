@@ -4,11 +4,9 @@
 //! and one grid summary is golden-pinned so aggregation semantics cannot
 //! drift silently.
 
-mod common;
-
-use common::fnv1a;
 use gfs::lab::{ClusterShape, Grid, SchedulerSpec, Threads, WorkloadAxis};
 use gfs::prelude::*;
+use gfs::sim::service::fnv1a;
 
 /// A 2 (schedulers) × 3 (workloads) grid, 4 seeds per cell: 24 runs.
 fn grid_2x3x4() -> Grid {
@@ -57,10 +55,10 @@ fn golden_grid_summary_pinned() {
     let result = grid_2x3x4().run(Threads::Auto);
     let json = result.report.to_json();
     if std::env::var("GFS_PRINT_GOLDEN").is_ok() {
-        println!("GOLDEN_GRID = {}", fnv1a(&json));
+        println!("GOLDEN_GRID = {}", fnv1a(json.as_bytes()));
     }
     assert_eq!(
-        fnv1a(&json),
+        fnv1a(json.as_bytes()),
         GOLDEN_GRID,
         "aggregated grid output drifted — scheduling, summary metrics or \
          aggregation semantics changed (update the pin only if intentional)"
