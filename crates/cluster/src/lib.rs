@@ -102,4 +102,4 @@ pub use changelog::ChangeLog;
 pub use cluster::{Cluster, ClusterSnapshot, Displaced, PodPlacement, RunningTask};
 pub use index::CapacityIndex;
 pub use node::{Gpu, Node, NodeSnapshot, PodAlloc};
-pub use scheduler::{Decision, DrainDecision, Scheduler, TaskEvent};
+pub use scheduler::{Decision, DrainDecision, RetryKey, Scheduler, TaskEvent};

@@ -7,7 +7,7 @@
 
 use std::cmp::Ordering;
 
-use gfs_types::{NodeId, Priority, SimDuration, SimTime, TaskId, TaskSpec};
+use gfs_types::{GpuDemand, GpuModel, NodeId, Priority, SimDuration, SimTime, TaskId, TaskSpec};
 
 use crate::cluster::{Cluster, RunningTask};
 
@@ -34,6 +34,41 @@ impl Decision {
     #[must_use]
     pub fn is_preemptive(&self) -> bool {
         !self.preemptions.is_empty()
+    }
+}
+
+/// The part of a task a scheduler's verdict depends on — the answer of
+/// [`Scheduler::retry_key`]. Two tasks with equal keys get the same
+/// `Some`/`None` verdict from an opted-in scheduler on the same cluster
+/// state, so the simulator retries only one of them after a failure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RetryKey {
+    priority: Priority,
+    gpu_model: GpuModel,
+    pods: u32,
+    /// Whole cards, or the bit pattern of a fractional share (tagged by
+    /// `fraction`), so fractional demands compare exactly.
+    demand: u64,
+    fraction: bool,
+}
+
+impl RetryKey {
+    /// The request shape of `task`: priority, GPU model, pod count and
+    /// per-pod demand. Id, org, submit time, duration and checkpoint
+    /// plan are left out.
+    #[must_use]
+    pub fn shape(task: &TaskSpec) -> Self {
+        let (demand, fraction) = match task.gpus_per_pod {
+            GpuDemand::Whole(g) => (u64::from(g), false),
+            GpuDemand::Fraction(f) => (f.to_bits(), true),
+        };
+        RetryKey {
+            priority: task.priority,
+            gpu_model: task.gpu_model,
+            pods: task.pods,
+            demand,
+            fraction,
+        }
     }
 }
 
@@ -220,6 +255,47 @@ pub trait Scheduler {
     /// simulator itself maintains order incrementally.
     fn sort_queue(&self, queue: &mut Vec<TaskSpec>) {
         queue.sort_by(|a, b| self.queue_cmp(a, b));
+    }
+
+    /// Declares which task fields a `None` from [`Scheduler::schedule`]
+    /// depends on, so the simulator can skip pending tasks whose failure
+    /// is already known. Like [`Scheduler::queue_cmp`] the key must be
+    /// static per task; the simulator reads it once, when the task is
+    /// first submitted.
+    ///
+    /// **Contract.** If `schedule` returned `None` for a task with key
+    /// `K`, it returns `None` for every task with key `K` for as long as
+    /// three values are unchanged: the cluster's
+    /// [`ChangeLog::instance`](crate::ChangeLog::instance), its
+    /// [`ChangeLog::cursor`](crate::ChangeLog::cursor), and
+    /// [`Scheduler::retry_epoch`]. A failing `schedule` must not change
+    /// decision-relevant state (read-side caches may change).
+    ///
+    /// The default `None` opts out: such a task is asked again in every
+    /// scheduling pass. [`RetryKey::shape`] is the usual key.
+    fn retry_key(&self, _task: &TaskSpec) -> Option<RetryKey> {
+        None
+    }
+
+    /// A value that changes whenever a failed decision may have turned
+    /// into a success without any cluster mutation: a change of the
+    /// scheduler's own decision state (a new quota) or the mere passage
+    /// of simulated time.
+    ///
+    /// **Time validity.** The simulator evaluates the epoch at the start
+    /// and the end of a scheduling pass (while it holds failures), at
+    /// that pass's `now`, and trusts a failure recorded at time `t₁` at a
+    /// later `t₂` exactly when the epoch (and the change log) read the
+    /// same at both. A scheduler whose verdicts decay with time must
+    /// therefore change the epoch by the first instant at which a `None`
+    /// from `t₁` could become `Some` — e.g. when a windowed eviction
+    /// count ages out. Evaluating the epoch may update read-side caches.
+    ///
+    /// Only consulted for tasks with a [`Scheduler::retry_key`]; the
+    /// default `0` suits schedulers whose verdicts ignore `now` and carry
+    /// no decision state.
+    fn retry_epoch(&self, _cluster: &Cluster, _now: SimTime) -> u64 {
+        0
     }
 
     /// Serializes the scheduler's *dynamic* state (feedback-loop

@@ -1,7 +1,7 @@
 //! The assembled GFS scheduler (Fig. 6): GDE + SQA + PTS behind the
 //! [`Scheduler`] trait, implementing the closed loop of Alg. 3.
 
-use gfs_cluster::{Cluster, Decision, DrainDecision, RunningTask, Scheduler, TaskEvent};
+use gfs_cluster::{Cluster, Decision, DrainDecision, RetryKey, RunningTask, Scheduler, TaskEvent};
 use gfs_sched::placement::PlacementPolicy;
 use gfs_types::{GfsParams, SimDuration, SimTime, TaskSpec};
 use serde::{Deserialize, Serialize};
@@ -41,6 +41,8 @@ pub struct GfsScheduler {
     pts: Pts,
     sqa: SpotQuotaAllocator,
     gde: Option<DemandEstimator>,
+    /// Bumped whenever `Q_H` changes: the quota half of the retry epoch.
+    quota_epoch: u64,
 }
 
 impl std::fmt::Debug for GfsScheduler {
@@ -87,6 +89,7 @@ impl GfsScheduler {
             sqa: SpotQuotaAllocator::new(params.clone()),
             params,
             gde,
+            quota_epoch: 0,
         }
     }
 
@@ -133,6 +136,15 @@ impl GfsScheduler {
         }
         usage
     }
+
+    /// Applies a quota mutation, bumping the retry epoch if `Q_H` moved.
+    fn requota(&mut self, update: impl FnOnce(&mut SpotQuotaAllocator)) {
+        let before = self.sqa.quota().to_bits();
+        update(&mut self.sqa);
+        if self.sqa.quota().to_bits() != before {
+            self.quota_epoch += 1;
+        }
+    }
 }
 
 impl Scheduler for GfsScheduler {
@@ -152,7 +164,7 @@ impl Scheduler for GfsScheduler {
             }
             None => 0.0,
         };
-        self.sqa.update(now, cluster, upper);
+        self.requota(|sqa| sqa.update(now, cluster, upper));
     }
 
     fn demand_forecast(&self, p: f64, h: usize) -> Option<f64> {
@@ -185,7 +197,7 @@ impl Scheduler for GfsScheduler {
             | TaskEvent::NodeUp { .. }
             | TaskEvent::DrainNotice { .. }
             | TaskEvent::NodeAdded { .. } => {
-                self.sqa.refresh_capacity(cluster);
+                self.requota(|sqa| sqa.refresh_capacity(cluster));
             }
             _ => {}
         }
@@ -211,6 +223,18 @@ impl Scheduler for GfsScheduler {
 
     fn queue_cmp(&self, a: &TaskSpec, b: &TaskSpec) -> std::cmp::Ordering {
         Pts::task_order(a, b)
+    }
+
+    /// The quota gate reads only the task's total GPUs and the PTS only
+    /// its shape, so the shape is the key.
+    fn retry_key(&self, task: &TaskSpec) -> Option<RetryKey> {
+        Some(RetryKey::shape(task))
+    }
+
+    /// Quota changes plus the PTS eviction-window epoch. Both counters
+    /// only grow, so their sum changes whenever either does.
+    fn retry_epoch(&self, cluster: &Cluster, now: SimTime) -> u64 {
+        self.quota_epoch + self.pts.retry_epoch(cluster, now)
     }
 
     fn drain_decision(

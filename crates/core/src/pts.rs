@@ -158,6 +158,27 @@ impl Pts {
         ]
     }
 
+    /// The time-dependent part of a failed verdict, as a
+    /// [`Scheduler::retry_epoch`](gfs_cluster::Scheduler::retry_epoch):
+    /// with the cluster unchanged, only the Score3 circuit breaker
+    /// (Eq. 16) can flip a `None` to `Some`, when an eviction ages out of
+    /// a window. Syncs the [`ScoreIndex`] at `now` and returns how many
+    /// eviction-window deadlines it has seen pass (stale heap entries
+    /// only make the count change more often than needed). Gang
+    /// feasibility itself ignores `now`: placing a pod lowers the chosen
+    /// node's reclaimable cards by exactly the pod's demand and leaves
+    /// every other node's alone, whichever victims Alg. 2 picks. The
+    /// degraded scoring variants have no breaker and return 0.
+    #[must_use]
+    pub(crate) fn retry_epoch(&self, cluster: &Cluster, now: SimTime) -> u64 {
+        if self.scoring_time_invariant() {
+            return 0;
+        }
+        let mut index = self.index.borrow_mut();
+        index.prepare(self, cluster, now);
+        index.aged()
+    }
+
     /// Non-preemptive scheduling (Alg. 1): one node per pod, or `None`.
     ///
     /// With a non-naive [`PlacementPolicy`] the policy's components lead

@@ -8,7 +8,7 @@
 //! spreading, reliability scoring, drain awareness) contributes on its
 //! own, with no quota feedback in the loop.
 
-use gfs_cluster::{Cluster, Decision, DrainDecision, RunningTask, Scheduler};
+use gfs_cluster::{Cluster, Decision, DrainDecision, RetryKey, RunningTask, Scheduler};
 use gfs_sched::placement::PlacementPolicy;
 use gfs_types::{GfsParams, SimDuration, SimTime, TaskSpec};
 
@@ -64,6 +64,14 @@ impl Scheduler for PtsScheduler {
 
     fn queue_cmp(&self, a: &TaskSpec, b: &TaskSpec) -> std::cmp::Ordering {
         Pts::task_order(a, b)
+    }
+
+    fn retry_key(&self, task: &TaskSpec) -> Option<RetryKey> {
+        Some(RetryKey::shape(task))
+    }
+
+    fn retry_epoch(&self, cluster: &Cluster, now: SimTime) -> u64 {
+        self.pts.retry_epoch(cluster, now)
     }
 
     fn drain_decision(

@@ -246,6 +246,9 @@ pub(crate) struct ScoreIndex {
     trees: BTreeMap<(GpuModel, u32), BucketTree>,
     /// Min-heap of `(valid_until, node id)` eviction-window deadlines.
     expiry: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Deadlines taken off `expiry` so far (stale ones included); never
+    /// reset, so it only grows as simulated time passes deadlines.
+    aged: u64,
     scratch: Vec<u32>,
 }
 
@@ -278,6 +281,7 @@ impl ScoreIndex {
                 break;
             }
             self.expiry.pop();
+            self.aged += 1;
             // only act on the node's *current* deadline; earlier entries
             // for the same node are stale and skipped
             if self
@@ -303,6 +307,14 @@ impl ScoreIndex {
         for node in cluster.nodes() {
             self.recompute(pts, cluster, node.id().raw(), now);
         }
+    }
+
+    /// How many eviction-window deadlines [`ScoreIndex::prepare`] has
+    /// seen pass. Between two cluster mutations it changes exactly when
+    /// some node's windowed eviction counts may have aged — the only way
+    /// a circuit-broken node rejoins spot placement without a mutation.
+    pub(crate) fn aged(&self) -> u64 {
+        self.aged
     }
 
     /// Recomputes one node's cached keys and tree membership from real

@@ -3,7 +3,7 @@
 //! task cannot otherwise fit. Victim selection is reverse-submission order
 //! (newest containers die first), the YARN convention.
 
-use gfs_cluster::{Cluster, Decision, Scheduler};
+use gfs_cluster::{Cluster, Decision, RetryKey, Scheduler};
 use gfs_types::{SimTime, TaskSpec};
 
 use crate::placement::{best_fit_nodes, plan_preemption};
@@ -41,6 +41,14 @@ impl Scheduler for YarnCs {
             });
         }
         None
+    }
+
+    /// Best fit and the preemption plan read only the task's shape. The
+    /// verdict ignores `now`: whichever node the waste comparison picks,
+    /// a pod lowers that node's reclaimable cards by its demand and no
+    /// other node's, so the retry epoch stays 0.
+    fn retry_key(&self, task: &TaskSpec) -> Option<RetryKey> {
+        Some(RetryKey::shape(task))
     }
 }
 

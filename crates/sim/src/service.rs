@@ -49,7 +49,11 @@
 //! `snapshot → restore → snapshot` is byte-identical and
 //! [`ServiceSnapshot::state_hash`] (FNV-1a over the JSON) pins a state.
 //! A restored service replays the remainder of its run to the same
-//! [`SimReport`] as the uninterrupted original.
+//! [`SimReport`] as the uninterrupted original. The scheduling pass's
+//! memory of failed decisions (see [`Scheduler::retry_key`]) is left out
+//! of the snapshot: a restored service rebuilds its key table and starts
+//! with no recorded failures, which only costs a few extra `schedule()`
+//! calls.
 //!
 //! # Write-ahead journal
 //!
@@ -99,7 +103,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
-use gfs_cluster::{Cluster, ClusterSnapshot, Scheduler, TaskEvent};
+use gfs_cluster::{Cluster, ClusterSnapshot, RetryKey, Scheduler, TaskEvent};
 use gfs_types::{
     ClusterEventKind, DynamicsPlan, GpuModel, NodeId, SimDuration, SimTime, TaskId, TaskSpec,
 };
@@ -365,6 +369,85 @@ fn push(heap: &mut EventHeap, seq: &mut u64, at: SimTime, kind: EventKind) {
         seq: *seq,
         kind,
     });
+}
+
+/// Marks a task without a [`RetryKey`] in [`RetryMemo::keys`].
+const NO_KEY: u32 = u32::MAX;
+
+/// What the incremental scheduling pass knows about failed decisions:
+/// the [`RetryKey`]s whose `schedule()` returned `None` since the last
+/// placement, valid while the cluster's change log and the scheduler's
+/// [`Scheduler::retry_epoch`] read as in `stamp`. Never serialized: a
+/// restored service rebuilds the key table and starts with no failures.
+#[derive(Debug)]
+struct RetryMemo {
+    /// Interned key id per task (trace position); [`NO_KEY`] = always ask.
+    keys: Vec<u32>,
+    ids: HashMap<RetryKey, u32>,
+    /// `failed[id]`: a task with this key failed under `stamp`.
+    failed: Vec<bool>,
+    /// The ids set in `failed`, so clearing costs O(failures).
+    set: Vec<u32>,
+    /// `(change-log instance, cursor, retry epoch)` at the end of the
+    /// last pass that left failures behind.
+    stamp: (u64, u64, u64),
+    /// `GFS_XCHECK_PASS` is set: skipped tasks are asked anyway.
+    xcheck: bool,
+}
+
+impl RetryMemo {
+    fn new() -> Self {
+        RetryMemo {
+            keys: Vec::new(),
+            ids: HashMap::new(),
+            failed: Vec::new(),
+            set: Vec::new(),
+            stamp: (0, 0, 0),
+            xcheck: std::env::var_os("GFS_XCHECK_PASS").is_some(),
+        }
+    }
+
+    fn assign(&mut self, task: u32, key: Option<RetryKey>) {
+        let i = task as usize;
+        if self.keys.len() <= i {
+            self.keys.resize(i + 1, NO_KEY);
+        }
+        self.keys[i] = key.map_or(NO_KEY, |k| {
+            let next = self.ids.len() as u32;
+            *self.ids.entry(k).or_insert(next)
+        });
+        self.failed.resize(self.ids.len(), false);
+    }
+
+    fn known_failed(&self, task: u32) -> bool {
+        let id = self.keys[task as usize];
+        id != NO_KEY && self.failed[id as usize]
+    }
+
+    fn mark_failed(&mut self, task: u32) {
+        let id = self.keys[task as usize];
+        if id != NO_KEY && !self.failed[id as usize] {
+            self.failed[id as usize] = true;
+            self.set.push(id);
+        }
+    }
+
+    fn clear(&mut self) {
+        for id in self.set.drain(..) {
+            self.failed[id as usize] = false;
+        }
+    }
+}
+
+/// The stamp failures are recorded under: the cluster's change-log
+/// identity and cursor plus the scheduler's retry epoch at `now`.
+fn retry_stamp(cluster: &Cluster, scheduler: &dyn Scheduler, now: SimTime) -> (u64, u64, u64) {
+    let log = cluster.change_log();
+    (
+        log.instance(),
+        log.cursor(),
+        scheduler.retry_epoch(cluster, now),
+    )
 }
 
 /// Inserts trace index `i` into the pending queue, kept sorted under
@@ -836,6 +919,8 @@ pub struct ClusterService {
     batch_scratch: Vec<Event>,
     /// Reused still-pending buffer for the scheduling pass.
     sched_scratch: Vec<u32>,
+    /// Failed decisions the next pass may skip.
+    retry: RetryMemo,
 }
 
 /// Clusters at or above this node count get *bounded* per-node sample
@@ -888,6 +973,7 @@ impl ClusterService {
             journal_seq: 0,
             batch_scratch: Vec::new(),
             sched_scratch: Vec::new(),
+            retry: RetryMemo::new(),
         }
     }
 
@@ -1117,6 +1203,8 @@ impl ClusterService {
                         },
                         &self.cluster,
                     );
+                    self.retry
+                        .assign(i, scheduler.retry_key(&self.specs[i as usize]));
                     enqueue(&mut self.pending, &self.specs, scheduler, i);
                     dirty = true;
                 }
@@ -1377,18 +1465,47 @@ impl ClusterService {
     }
 
     /// One scheduling pass over the (incrementally sorted) pending queue.
+    ///
+    /// The pass is incremental: a task whose [`Scheduler::retry_key`]
+    /// already failed under the current stamp (change-log instance and
+    /// cursor, [`Scheduler::retry_epoch`]) is left pending without asking
+    /// the scheduler, because the contract guarantees the answer is
+    /// `None` again. A stale stamp at pass start and every placement
+    /// clear the failures; the stamp is retaken at pass end. Stamps are
+    /// only taken while failures are recorded. Tasks without a key are
+    /// always asked. `GFS_XCHECK_PASS=1` asks every skipped task anyway
+    /// and panics unless the answer is `None`.
     fn scheduling_pass(&mut self, scheduler: &mut dyn Scheduler) {
         let now = self.now;
+        if !self.retry.set.is_empty()
+            && retry_stamp(&self.cluster, scheduler, now) != self.retry.stamp
+        {
+            self.retry.clear();
+        }
         // scratch recycling: the drained queue becomes next pass's
         // still-pending buffer, so steady state allocates nothing
         let mut still_pending = std::mem::take(&mut self.sched_scratch);
         let pending = std::mem::take(&mut self.pending);
         for &idx in &pending {
             let task = &self.specs[idx as usize];
+            if self.retry.known_failed(idx) {
+                if self.retry.xcheck {
+                    if let Some(d) = scheduler.schedule(task, &self.cluster, now) {
+                        panic!(
+                            "skipped task {:?} would have been placed at {now:?}: {d:?}",
+                            task.id
+                        );
+                    }
+                }
+                still_pending.push(idx);
+                continue;
+            }
             let Some(decision) = scheduler.schedule(task, &self.cluster, now) else {
+                self.retry.mark_failed(idx);
                 still_pending.push(idx);
                 continue;
             };
+            self.retry.clear();
             for victim in &decision.preemptions {
                 match self.cluster.evict_task(*victim, now) {
                     Ok((_rt, preserved)) => {
@@ -1465,6 +1582,9 @@ impl ClusterService {
         let mut scratch = pending;
         scratch.clear();
         self.sched_scratch = scratch;
+        if !self.retry.set.is_empty() {
+            self.retry.stamp = retry_stamp(&self.cluster, scheduler, now);
+        }
     }
 
     /// Steps until the next event lies strictly after `t` (or the run
@@ -1617,6 +1737,10 @@ impl ClusterService {
             .enumerate()
             .map(|(i, s)| (s.id, i as u32))
             .collect();
+        let mut retry = RetryMemo::new();
+        for (i, s) in specs.iter().enumerate() {
+            retry.assign(i as u32, scheduler.retry_key(s));
+        }
         Ok(ClusterService {
             cfg: snap.cfg,
             cluster: Cluster::from_snapshot(snap.cluster),
@@ -1636,6 +1760,7 @@ impl ClusterService {
             journal_seq: snap.journal_seq,
             batch_scratch: Vec::new(),
             sched_scratch: Vec::new(),
+            retry,
         })
     }
 

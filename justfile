@@ -2,7 +2,7 @@
 # recipes by hand — each is a single cargo invocation (or a small loop).
 
 # Build, test, lint, gate — the full CI pipeline.
-ci: fmt build test clippy lint bench-smoke bench-gate lab-smokes examples-smoke
+ci: fmt build test xcheck clippy lint bench-smoke bench-gate lab-smokes examples-smoke
 
 # Formatting gate (no diffs tolerated).
 fmt:
@@ -15,6 +15,16 @@ build:
 # Tier-1 test suite.
 test:
     cargo test --workspace -q
+
+# The golden, grid, property, contract and end-to-end tests with every
+# skipped pass retry and every indexed placement re-asked (panics on any
+# divergence). incremental_pass is left out: re-asking inflates its counts.
+xcheck:
+    GFS_XCHECK_PASS=1 GFS_XCHECK_INDEX=1 cargo test --release -q \
+        --test golden_report --test lab_grid --test churn_grid \
+        --test dynamics_grid --test market_grid --test policy_grid \
+        --test property_based --test scheduler_contracts \
+        --test fleet_determinism --test end_to_end
 
 # Lint with warnings denied (kept at zero).
 clippy:

@@ -422,10 +422,17 @@ fn random_trace(rng: &mut ChaCha8Rng) -> Vec<TaskSpec> {
 /// Interleaves random snapshot → restore points into live runs under
 /// random cluster dynamics: every round-trip must be byte-identical
 /// (snapshot → restore → snapshot), and the chopped-up run must land on
-/// the uninterrupted run's exact state hash and `SimReport`.
+/// the uninterrupted run's exact state hash and `SimReport`. Runs YARN
+/// (stateless) and GFS (saved SQA state, a quota-driven retry epoch):
+/// a restored service starts with no memory of failed decisions, which
+/// must not change a single outcome.
 #[test]
 fn snapshot_restore_is_transparent_under_dynamics() {
     use gfs::sim::{ClusterService, ServiceSnapshot};
+    let factories: [fn() -> Box<dyn Scheduler>; 2] = [
+        || Box::new(YarnCs::new()),
+        || Box::new(GfsScheduler::with_defaults()),
+    ];
     for_all_cases("snapshot_restore_is_transparent_under_dynamics", |rng| {
         let tasks = random_trace(rng);
         let cfg = SimConfig {
@@ -434,50 +441,57 @@ fn snapshot_restore_is_transparent_under_dynamics() {
             ..SimConfig::default()
         };
         let cluster = Cluster::homogeneous(6, GpuModel::A100, 8);
+        for make in factories {
+            // golden: one uninterrupted service
+            let mut sched = make();
+            let mut svc = ClusterService::new(cluster.clone(), cfg.clone());
+            svc.admit_tasks(tasks.clone());
+            svc.start();
+            svc.run_to_end(&mut *sched);
+            let golden_state = svc.snapshot(&*sched).state_hash();
+            let golden_report = svc.finish();
 
-        // golden: one uninterrupted service
-        let mut sched = YarnCs::new();
-        let mut svc = ClusterService::new(cluster.clone(), cfg.clone());
-        svc.admit_tasks(tasks.clone());
-        svc.start();
-        svc.run_to_end(&mut sched);
-        let golden_state = svc.snapshot(&sched).state_hash();
-        let golden_report = svc.finish();
-
-        // the same run chopped at random points by snapshot → restore
-        let mut sched = YarnCs::new();
-        let mut svc = ClusterService::new(cluster, cfg);
-        svc.admit_tasks(tasks);
-        svc.start();
-        for _ in 0..rng.gen_range(1..4usize) {
-            for _ in 0..rng.gen_range(1..30u64) {
-                if !svc.step(&mut sched) {
-                    break;
+            // the same run chopped at random points by snapshot → restore
+            let mut sched = make();
+            let mut svc = ClusterService::new(cluster.clone(), cfg.clone());
+            svc.admit_tasks(tasks.clone());
+            svc.start();
+            for _ in 0..rng.gen_range(1..4usize) {
+                for _ in 0..rng.gen_range(1..30u64) {
+                    if !svc.step(&mut *sched) {
+                        break;
+                    }
                 }
+                let snap = svc.snapshot(&*sched);
+                let json = snap.to_json();
+                let mut sched2 = make();
+                let restored = ClusterService::restore(
+                    ServiceSnapshot::from_json(&json).expect("canonical JSON round-trips"),
+                    &mut *sched2,
+                )
+                .expect("live snapshots restore");
+                assert_eq!(
+                    restored.snapshot(&*sched2).to_json(),
+                    json,
+                    "{}: snapshot → restore → snapshot must be byte-identical",
+                    sched2.name()
+                );
+                svc = restored;
+                sched = sched2;
             }
-            let snap = svc.snapshot(&sched);
-            let json = snap.to_json();
-            let mut sched2 = YarnCs::new();
-            let restored = ClusterService::restore(
-                ServiceSnapshot::from_json(&json).expect("canonical JSON round-trips"),
-                &mut sched2,
-            )
-            .expect("live snapshots restore");
+            svc.run_to_end(&mut *sched);
+            let name = sched.name().to_string();
             assert_eq!(
-                restored.snapshot(&sched2).to_json(),
-                json,
-                "snapshot → restore → snapshot must be byte-identical"
+                svc.snapshot(&*sched).state_hash(),
+                golden_state,
+                "{name}: restored runs converge to the golden state"
             );
-            svc = restored;
-            sched = sched2;
+            assert_eq!(
+                svc.finish(),
+                golden_report,
+                "{name}: and to the golden report"
+            );
         }
-        svc.run_to_end(&mut sched);
-        assert_eq!(
-            svc.snapshot(&sched).state_hash(),
-            golden_state,
-            "restored runs converge to the golden state"
-        );
-        assert_eq!(svc.finish(), golden_report, "and to the golden report");
     });
 }
 

@@ -284,3 +284,66 @@ fn gang_pods_never_oversubscribe_one_node() {
         }
     }
 }
+
+#[test]
+fn equal_retry_keys_get_equal_verdicts() {
+    let c = loaded_cluster();
+    let now = SimTime::from_secs(400);
+    // gangs take whole cards only; one fractional single-pod shape
+    let mut shapes = vec![(1, GpuDemand::fraction(0.5).expect("valid"))];
+    for pods in 1..=3u32 {
+        for g in [1, 2, 4, 8] {
+            shapes.push((pods, GpuDemand::whole(g)));
+        }
+    }
+    let mut opted_in = Vec::new();
+    for s in schedulers() {
+        let mut s = warmed(s, &c);
+        let name = s.name().to_string();
+        for priority in [Priority::Hp, Priority::Spot] {
+            for &(pods, demand) in &shapes {
+                // everything but the shape differs between the two
+                let a = TaskSpec::builder(10)
+                    .priority(priority)
+                    .pods(pods)
+                    .gpus_per_pod(demand)
+                    .duration_secs(600)
+                    .build()
+                    .expect("valid");
+                let b = TaskSpec::builder(11)
+                    .org(OrgId::new(3))
+                    .priority(priority)
+                    .pods(pods)
+                    .gpus_per_pod(demand)
+                    .duration_secs(90_000)
+                    .submit_at(SimTime::from_secs(250))
+                    .checkpoint(CheckpointPlan::Periodic { interval: 1_800 })
+                    .build()
+                    .expect("valid");
+                let Some(key) = s.retry_key(&a) else {
+                    continue;
+                };
+                assert_eq!(
+                    s.retry_key(&b),
+                    Some(key),
+                    "{name}: key ignores id/org/time"
+                );
+                let va = s.schedule(&a, &c, now).is_some();
+                let vb = s.schedule(&b, &c, now).is_some();
+                assert_eq!(
+                    va, vb,
+                    "{name}: {priority:?} {pods}×{demand:?} got different verdicts"
+                );
+                if !opted_in.contains(&name) {
+                    opted_in.push(name.clone());
+                }
+            }
+        }
+    }
+    for name in ["YARN-CS", "GFS (no GDE)", "PTS"] {
+        assert!(
+            opted_in.iter().any(|n| n == name),
+            "{name} must declare a retry key: {opted_in:?}"
+        );
+    }
+}
